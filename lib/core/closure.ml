@@ -322,10 +322,8 @@ end
    so every caller is oblivious to which one is live. *)
 type t = Single of Single.t | Sharded of Sharded_closure.t
 
-let compute ?max_facts ?pool ?gov ?staged_rules ?shards ~rules store =
-  let shards =
-    match shards with Some n -> max 1 n | None -> Store.shards store
-  in
+let compute ?max_facts ?pool ?gov ?staged_rules ~rules store =
+  let shards = Store.shards store in
   if shards <= 1 then
     Single (Single.compute ?max_facts ?pool ?gov ?staged_rules ~rules store)
   else

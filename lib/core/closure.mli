@@ -24,20 +24,17 @@ exception Diverged of int
     unsoundness in the rules as printed that only shows up when they are
     actually executed (see DESIGN.md).
 
-    [shards] picks the implementation: [1] is the classic single-heap
-    path (each stratum copies its input into a private index); [> 1]
-    dispatches to {!Sharded_closure}, which evaluates {e through} the
-    store with hash-partitioned derived overlays and never copies the
-    base facts. Defaults to the store's own shard count
-    ({!Store.shards}), so a sharded heap automatically gets the sharded
-    closure. Content is identical either way; enumeration order is not
-    (compare canonically sorted). *)
+    The store's shard count ({!Store.shards}) picks the implementation:
+    [1] is the classic single-heap path (each stratum copies its input
+    into a private index); [> 1] dispatches to {!Sharded_closure}, which
+    evaluates {e through} the store with hash-partitioned derived
+    overlays and never copies the base facts. Content is identical
+    either way; enumeration order is not (compare canonically sorted). *)
 val compute :
   ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   ?staged_rules:Lsdb_datalog.Rule.t list ->
-  ?shards:int ->
   rules:Lsdb_datalog.Rule.t list ->
   Store.t ->
   t

@@ -239,6 +239,12 @@ let closure t =
       closure
   | None ->
       let staged_rules, rules = compiled_rules t in
+      (* The one store quiesce point: no reader is iterating the heap
+         here, and the engines read it next. A demand-mode database
+         never freezes its store, not even when a caller forces the
+         eager closure: a cold cone would pay for folding the whole
+         heap, and the fold's transient copy raises the peak heap. *)
+      if t.closure_mode = Eager then Store.quiesce t.store;
       let closure =
         try
           Closure.compute ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
@@ -284,11 +290,11 @@ let demand_state t =
               bv_mem = (fun fact -> Store.mem t.store fact);
               bv_count =
                 (fun ~s ~r ~tgt ->
-                  Store.count_matches t.store (Store.pattern ?s ?r ?t:tgt ()));
+                  Store.count_fast t.store (Store.pattern ?s ?r ?t:tgt ()));
               bv_count_s =
-                (fun e -> Store.count_matches t.store (Store.pattern ~s:e ()));
+                (fun e -> Store.count_fast t.store (Store.pattern ~s:e ()));
               bv_count_t =
-                (fun e -> Store.count_matches t.store (Store.pattern ~t:e ()));
+                (fun e -> Store.count_fast t.store (Store.pattern ~t:e ()));
               bv_cardinal = (fun () -> Store.cardinal t.store);
             }
         in

@@ -1,6 +1,7 @@
 (** The heap of facts: a mutable, fully indexed set of triples,
     hash-partitioned by source entity across [shards] internal shards
-    ({!Lsdb_datalog.Shard}).
+    ({!Lsdb_datalog.Shard}), each shard one {!Lsdb_datalog.Index} — the
+    same two-tier posting store the closure engines evaluate over.
 
     Supports insertion, deletion and matching for every bound-position
     pattern in O(1) expected time per result; source-bound operations
@@ -44,8 +45,15 @@ val remove : t -> Fact.t -> bool
 
 val mem : t -> Fact.t -> bool
 val cardinal : t -> int
-val is_empty : t -> bool
 val clear : t -> unit
+
+(** [quiesce t] applies the process-global freeze policy
+    ({!Lsdb_datalog.Index.set_policy}) to every shard's index. Content-
+    neutral, but it may fold the delta tier into a new packed segment,
+    so it must not run while an iteration over the store is in flight.
+    The database calls it only before computing an eager closure in
+    eager mode. *)
+val quiesce : t -> unit
 
 val iter : (Fact.t -> unit) -> t -> unit
 val fold : (Fact.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -59,12 +67,10 @@ val match_list : t -> pattern -> Fact.t list
 val count_matches : t -> pattern -> int
 
 (** [count_fast t pat] — the number of facts matching [pat] in O(1)
-    (O(shards) for source-unbound patterns), from posting-bucket sizes.
-    Exact, unlike the closure index's tombstone-inclusive counts; the
-    cheap selectivity probe behind the sharded closure's join ordering. *)
+    (O(shards) for source-unbound patterns), from {!Lsdb_datalog.Index.count}.
+    Exact, always equal to [count_matches]; the cheap selectivity probe
+    behind the sharded closure's and the demand engine's join ordering. *)
 val count_fast : t -> pattern -> int
-
-val exists_match : t -> pattern -> bool
 
 (** Unindexed full-scan matching (baseline for B2). Same results as
     [match_pattern], radically different cost profile. *)

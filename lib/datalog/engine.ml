@@ -350,9 +350,9 @@ let closure ?(max_facts = 10_000_000) ?pool ?gov rules base =
   (try
      Seq.iter
        (fun triple ->
+         buf := triple :: !buf;
          incr nbuf;
-         if !nbuf land 1023 = 0 then Governor.check gov;
-         buf := triple :: !buf)
+         if !nbuf land 1023 = 0 then Governor.check gov)
        base
    with Governor.Trip _ -> ());
   let arr = Array.make !nbuf (Triple.make 0 0 0) in

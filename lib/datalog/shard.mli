@@ -5,14 +5,13 @@
     avalanche hash of its source entity, so any loosely structured heap
     splits into [n] shards without coordination, and two processes (or
     two runs) always agree on the owner of a fact. The closure overlays
-    ({!Sharded}), the in-memory heap ([Lsdb.Store]) and the persistent
-    heap ([Lsdb_storage.Sharded_heap]) all route through this module, so
-    their partitions line up.
+    ({!Sharded}) and the in-memory heap ([Lsdb.Store]) both route through
+    this module, so their partitions line up.
 
-    Interned entity ids are not stable across sessions, so the
-    persistent layer routes by {e name} ({!of_name}) while the in-memory
-    layers route by id ({!of_entity}); both are deterministic within
-    their domain. *)
+    Interned entity ids are not stable across sessions, so a layer that
+    outlives the symbol table would route by {e name} ({!of_name}); the
+    in-memory layers route by id ({!of_entity}). Both are deterministic
+    within their domain. *)
 
 type plan
 (** An immutable partitioning plan: just the shard count, carried as an

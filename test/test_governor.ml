@@ -249,6 +249,26 @@ let degradation_tests =
         Alcotest.(check bool) "still a subset" true
           (is_subset ~sub:partial ~super:(all_closure_facts (university ())));
         Database.set_governor db None);
+    test "a deadline that trips during the base load keeps a base prefix" (fun () ->
+        (* More base facts than one checkpoint interval, so the load
+           itself reaches a checkpoint and trips there. *)
+        let db = Database.create () in
+        for i = 1 to 3000 do
+          ignore
+            (Database.insert_names db (Printf.sprintf "E%d" i) "R"
+               (Printf.sprintf "F%d" i))
+        done;
+        let gov = Governor.create ~deadline_ms:0.000001 () in
+        Unix.sleepf 0.002;
+        Database.set_governor db (Some gov);
+        let partial = all_closure_facts db in
+        Alcotest.(check bool) "deadline tripped" true
+          (Governor.tripped gov = Some Governor.Deadline);
+        Alcotest.(check bool) "load stopped early" true
+          (List.length partial < Database.base_cardinal db);
+        Alcotest.(check bool) "only base facts" true
+          (List.for_all (Database.mem_base db) partial);
+        Database.set_governor db None);
     test "cancellation interrupts probing soundly" (fun () ->
         let db = Paper_examples.campus () in
         let gov = Governor.create () in

@@ -14,6 +14,38 @@ let sample_store () =
 let sorted_list store pat =
   List.sort Fact.compare (Store.match_list store pat)
 
+module Index = Lsdb_datalog.Index
+
+let policies = [ Index.Always; Index.Never; Index.Watermark ]
+
+(* A small watermark so [Watermark] actually freezes on test-sized
+   stores; both process globals are restored afterwards. *)
+let with_policy policy f =
+  let saved = Index.policy () and saved_min = Index.min_delta () in
+  Index.set_policy policy;
+  Index.set_min_delta 16;
+  Fun.protect
+    ~finally:(fun () ->
+      Index.set_policy saved;
+      Index.set_min_delta saved_min)
+    f
+
+(* Entities 0..universe-1: small enough that random ops collide, remove
+   present facts and resurrect frozen ones. *)
+let universe = 6
+let pick rng = Random.State.int rng universe
+
+(* Every bound-position shape, over every binding in the universe. *)
+let all_patterns () =
+  let some = List.init universe Option.some in
+  let opts = None :: some in
+  List.concat_map
+    (fun s ->
+      List.concat_map
+        (fun r -> List.map (fun t -> { Store.s; r; t }) opts)
+        opts)
+    opts
+
 let tests =
   [
     test "add/mem/remove round trip" (fun () ->
@@ -113,4 +145,103 @@ let tests =
           ops;
         Store.cardinal store = Hashtbl.length model
         && Hashtbl.fold (fun f () acc -> acc && Store.mem store f) model true);
+    test "count_fast equals count_matches on every shape after mixed adds and removes"
+      (fun () ->
+        List.iter
+          (fun policy ->
+            with_policy policy @@ fun () ->
+            let store = Store.create ~shards:2 () in
+            let rng = Random.State.make [| 7 |] in
+            let fact () = Fact.make (pick rng) (pick rng) (pick rng) in
+            for step = 1 to 600 do
+              if Random.State.int rng 4 = 0 then ignore (Store.remove store (fact ()))
+              else ignore (Store.add store (fact ()));
+              if step mod 150 = 0 then Store.quiesce store
+            done;
+            List.iter
+              (fun pat ->
+                Alcotest.(check int) "count_fast" (Store.count_matches store pat)
+                  (Store.count_fast store pat))
+              (all_patterns ()))
+          policies);
+    (* The store against an independent model: a triple set plus entity
+       refcounts, through seeded add/remove/reshard/quiesce sequences
+       under every freeze policy. *)
+    test "store equals a set-and-refcount model under every freeze policy"
+      (fun () ->
+        List.iter
+          (fun policy ->
+            for seed = 1 to 4 do
+              with_policy policy @@ fun () ->
+              let rng = Random.State.make [| seed |] in
+              let store = Store.create () in
+              let model = ref Fact.Set.empty in
+              let refs = Hashtbl.create 16 in
+              let bump e by =
+                let n = by + Option.value ~default:0 (Hashtbl.find_opt refs e) in
+                if n = 0 then Hashtbl.remove refs e else Hashtbl.replace refs e n
+              in
+              let bump_fact (f : Fact.t) by =
+                bump f.s by;
+                bump f.r by;
+                bump f.t by
+              in
+              let check_all () =
+                Alcotest.(check int) "cardinal" (Fact.Set.cardinal !model)
+                  (Store.cardinal store);
+                List.iter
+                  (fun (pat : Store.pattern) ->
+                    let expected =
+                      Fact.Set.elements
+                        (Fact.Set.filter
+                           (fun (f : Fact.t) ->
+                             Option.fold ~none:true ~some:(( = ) f.s) pat.s
+                             && Option.fold ~none:true ~some:(( = ) f.r) pat.r
+                             && Option.fold ~none:true ~some:(( = ) f.t) pat.t)
+                           !model)
+                    in
+                    Alcotest.(check bool) "match_pattern" true
+                      (sorted_list store pat = expected);
+                    Alcotest.(check int) "count_fast" (List.length expected)
+                      (Store.count_fast store pat))
+                  (all_patterns ());
+                for e = 0 to universe - 1 do
+                  Alcotest.(check bool) "entity_active" (Hashtbl.mem refs e)
+                    (Store.entity_active store e)
+                done;
+                let plan = Store.shard_plan store in
+                let per_shard = Array.make (Store.shards store) 0 in
+                Fact.Set.iter
+                  (fun (f : Fact.t) ->
+                    let i = Lsdb_datalog.Shard.of_entity plan f.s in
+                    per_shard.(i) <- per_shard.(i) + 1)
+                  !model;
+                Alcotest.(check (array int)) "shard_cardinals" per_shard
+                  (Store.shard_cardinals store)
+              in
+              for step = 1 to 400 do
+                let f = Fact.make (pick rng) (pick rng) (pick rng) in
+                (match Random.State.int rng 20 with
+                | 0 -> Store.reshard store (1 + Random.State.int rng 4)
+                | 1 | 2 -> Store.quiesce store
+                | 3 | 4 | 5 | 6 | 7 ->
+                    let present = Fact.Set.mem f !model in
+                    Alcotest.(check bool) "remove" present (Store.remove store f);
+                    if present then begin
+                      model := Fact.Set.remove f !model;
+                      bump_fact f (-1)
+                    end
+                | _ ->
+                    let fresh = not (Fact.Set.mem f !model) in
+                    Alcotest.(check bool) "add" fresh (Store.add store f);
+                    if fresh then begin
+                      model := Fact.Set.add f !model;
+                      bump_fact f 1
+                    end);
+                Alcotest.(check bool) "mem" (Fact.Set.mem f !model) (Store.mem store f);
+                if step mod 25 = 0 then check_all ()
+              done;
+              check_all ()
+            done)
+          policies);
   ]
