@@ -747,60 +747,6 @@ let b10 () =
       ];
     ]
 
-(* B11 — cold point queries: top-down proving vs. materialization        *)
-
-let b11 () =
-  section "B11 — cold point query: backward chaining vs. full materialization";
-  (* Small sizes on purpose: the honest finding is that top-down proving
-     explodes on hub-heavy heaps (the EMPLOYEE class touches most facts,
-     so subgoals fan out to the whole database) — see EXPERIMENTS.md. *)
-  let sizes = if !quick then [ 100 ] else [ 100; 250; 500 ] in
-  let rows =
-    List.map
-      (fun employees ->
-        let org =
-          Lsdb_workload.Org_gen.generate
-            ~params:{ Lsdb_workload.Org_gen.default_params with employees }
-            (rng ())
-        in
-        let make () = Lsdb_workload.Org_gen.to_database org in
-        (* The inferred fact "EMP-0042 earns compensation" (3 rule
-           applications deep). *)
-        let goal db =
-          Fact.make
-            (Database.entity db "EMP-0042")
-            (Database.entity db "EARNS")
-            (Database.entity db "COMPENSATION")
-        in
-        (* Cold materialization: compute the whole closure, then ask. *)
-        let db1 = make () in
-        let _, full_ms = time_ms (fun () -> Database.mem db1 (goal db1)) in
-        (* Cold proving: no closure at all (capped goal budget). *)
-        let db2 = make () in
-        let outcome, prove_ms =
-          time_ms (fun () ->
-              try
-                let proved, expansions =
-                  Prover.prove_counted ~max_expansions:500_000 db2 (goal db2)
-                in
-                assert proved;
-                Printf.sprintf "%d goals" expansions
-              with Prover.Gave_up n -> Printf.sprintf "gave up at %d goals" n)
-        in
-        (* Warm materialization amortizes. *)
-        let warm_ms = measure_ms ~runs:5 (fun () -> ignore (Database.mem db1 (goal db1))) in
-        [
-          string_of_int (Database.base_cardinal db1);
-          Printf.sprintf "%.1f" full_ms;
-          Printf.sprintf "%.1f (%s)" prove_ms outcome;
-          Printf.sprintf "%.4f" warm_ms;
-        ])
-      sizes
-  in
-  table
-    [ "base facts"; "cold closure+mem ms"; "cold prove ms"; "warm mem ms" ]
-    rows
-
 (* B12 — interactive browsing latency at scale                            *)
 
 let b12 () =
@@ -1910,7 +1856,7 @@ let b20 () =
     params.Lsdb_workload.Shard_gen.entities
     params.Lsdb_workload.Shard_gen.skew;
   let build shards =
-    Lsdb_workload.Shard_gen.to_database ~max_facts:8_000_000 ~shards gen
+    Lsdb_workload.Shard_gen.to_database ~shards gen
   in
   (* Every database loads the same generated fact list in the same order,
      so names intern to the same ids everywhere (the B18 argument) and
@@ -2151,7 +2097,7 @@ let b21 () =
     params.Lsdb_workload.Shard_gen.entities
     params.Lsdb_workload.Shard_gen.skew cores;
   let build shards =
-    Lsdb_workload.Shard_gen.to_database ~max_facts:8_000_000 ~shards gen
+    Lsdb_workload.Shard_gen.to_database ~shards gen
   in
   (* Same canonical-content currency as B20: every database loads the
      same generated fact list in the same order, so ids intern
@@ -2417,7 +2363,7 @@ let b22 () =
   in
   let gen = Lsdb_workload.Shard_gen.generate ~params (rng ()) in
   let build shards =
-    Lsdb_workload.Shard_gen.to_database ~max_facts:8_000_000 ~shards gen
+    Lsdb_workload.Shard_gen.to_database ~shards gen
   in
   let with_policy policy f =
     let saved = Index.policy () in
@@ -2643,7 +2589,7 @@ let experiments =
     ("ex1", ex1); ("ex2", ex2); ("ex3", ex3); ("ex4", ex4); ("ex5", ex5);
     ("ex6", ex6); ("ex7", ex7);
     ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5); ("b6", b6);
-    ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b11", b11); ("b12", b12);
+    ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b12", b12);
     ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16); ("b17", b17);
     ("b18", b18); ("b19", b19); ("b20", b20); ("b21", b21); ("b22", b22);
     ("micro", micro);

@@ -78,5 +78,7 @@ let () =
     [ ("LOVES", "contra", "HATES"); ("PAT", "LOVES", "OPERA") ];
   (match Integrity.insert_checked db (Fact.of_names (Database.symtab db) "PAT" "HATES" "OPERA") with
   | Ok _ -> print_endline "inserted (unexpected)"
-  | Error violations ->
-      List.iter (fun v -> print_endline ("  rejected: " ^ Integrity.describe db v)) violations)
+  | Error rejection ->
+      List.iter
+        (fun line -> print_endline ("  rejected: " ^ line))
+        (Integrity.describe_rejection db rejection))

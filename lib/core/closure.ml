@@ -1,7 +1,5 @@
 module D = Lsdb_datalog
 
-exception Diverged = D.Engine.Diverged
-
 (* The classic single-heap implementation: each stratum owns a full
    [Index.t] copy of its input facts. It doubles as the oracle the
    sharded path is gated against (B20, shard torture). *)
@@ -24,8 +22,7 @@ module Single = struct
     mutable derived_listed : int;
   }
 
-  let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
-      store =
+  let compute ?pool ?gov ?(staged_rules = []) ~rules store =
     let tripped () =
       match gov with
       | Some g -> Lsdb_exec.Governor.tripped g <> None
@@ -34,11 +31,10 @@ module Single = struct
     let staged, result =
       match staged_rules with
       | [] ->
-          (None, D.Engine.closure ~max_facts ?pool ?gov rules (Store.to_seq store))
+          (None, D.Engine.closure ?pool ?gov rules (Store.to_seq store))
       | _ ->
           let stage =
-            D.Engine.closure ~max_facts ?pool ?gov staged_rules
-              (Store.to_seq store)
+            D.Engine.closure ?pool ?gov staged_rules (Store.to_seq store)
           in
           if tripped () then
             (* The budget tripped inside the inversion stratum. Running the
@@ -54,7 +50,7 @@ module Single = struct
             (None, stage)
           else
             let result =
-              D.Engine.closure ~max_facts ?pool ?gov rules
+              D.Engine.closure ?pool ?gov rules
                 (D.Index.to_seq stage.index)
             in
             (* The stage's derived facts are base facts to the main run;
@@ -116,7 +112,7 @@ module Single = struct
     if t.derived_listed > (2 * D.Triple.Tbl.length t.result.provenance) + 1024
     then refilter_derived t
 
-  let extend ?(max_facts = 2_000_000) ?pool ?gov t facts =
+  let extend ?pool ?gov t facts =
     (* A fact asserted as base that the closure had already derived stops
        being derived: a from-scratch recompute records no derivation for
        base facts, and retraction must never delete a base fact just
@@ -135,13 +131,13 @@ module Single = struct
     (match t.staged with
     | None ->
         let result, added =
-          D.Engine.extend ~max_facts ?pool ?gov t.rules t.result triples
+          D.Engine.extend ?pool ?gov t.rules t.result triples
         in
         t.result <- result;
         push_derived t added
     | Some stage ->
         let stage, stage_added =
-          D.Engine.extend ~max_facts ?pool ?gov t.staged_rules stage triples
+          D.Engine.extend ?pool ?gov t.staged_rules stage triples
         in
         t.staged <- Some stage;
         (* Stage provenance for the newly inverted facts carries over. *)
@@ -153,7 +149,7 @@ module Single = struct
             | _ -> ())
           stage_added;
         let result, added =
-          D.Engine.extend ~max_facts ?pool ?gov t.rules t.result
+          D.Engine.extend ?pool ?gov t.rules t.result
             (List.to_seq stage_added)
         in
         t.result <- result;
@@ -168,16 +164,16 @@ module Single = struct
      stratum; restored stage facts get their fresh stage derivations
      mirrored into the main provenance {e before} the main support walk,
      so the main cone is never inflated by a stale inversion edge. *)
-  let retract ?(max_facts = 2_000_000) ?pool ?gov t facts =
+  let retract ?pool ?gov t facts =
     (match t.staged with
     | None ->
         let result, _ret =
-          D.Engine.retract ~max_facts ?pool ?gov t.rules t.result facts
+          D.Engine.retract ?pool ?gov t.rules t.result facts
         in
         t.result <- result
     | Some stage ->
         let stage, sret =
-          D.Engine.retract ~max_facts ?pool ?gov t.staged_rules stage facts
+          D.Engine.retract ?pool ?gov t.staged_rules stage facts
         in
         t.staged <- Some stage;
         List.iter
@@ -187,7 +183,7 @@ module Single = struct
             | None -> ())
           sret.restored;
         let result, mret =
-          D.Engine.retract ~max_facts ?pool ?gov t.rules t.result sret.removed
+          D.Engine.retract ?pool ?gov t.rules t.result sret.removed
         in
         t.result <- result;
         (* Reconcile: anything the stage stratum kept is a base fact of
@@ -210,7 +206,7 @@ module Single = struct
               | _ -> ())
             missing;
           let result, added =
-            D.Engine.extend ~max_facts ?pool ?gov t.rules t.result
+            D.Engine.extend ?pool ?gov t.rules t.result
               (List.to_seq missing)
           in
           t.result <- result;
@@ -322,25 +318,24 @@ end
    so every caller is oblivious to which one is live. *)
 type t = Single of Single.t | Sharded of Sharded_closure.t
 
-let compute ?max_facts ?pool ?gov ?staged_rules ~rules store =
+let compute ?pool ?gov ?staged_rules ~rules store =
   let shards = Store.shards store in
   if shards <= 1 then
-    Single (Single.compute ?max_facts ?pool ?gov ?staged_rules ~rules store)
+    Single (Single.compute ?pool ?gov ?staged_rules ~rules store)
   else
     Sharded
-      (Sharded_closure.compute ?max_facts ?pool ?gov ?staged_rules ~rules
-         ~shards store)
+      (Sharded_closure.compute ?pool ?gov ?staged_rules ~rules ~shards store)
 
-let extend ?max_facts ?pool ?gov t facts =
+let extend ?pool ?gov t facts =
   (match t with
-  | Single s -> ignore (Single.extend ?max_facts ?pool ?gov s facts : Single.t)
+  | Single s -> ignore (Single.extend ?pool ?gov s facts : Single.t)
   | Sharded s ->
       ignore (Sharded_closure.extend ?pool ?gov s facts : Sharded_closure.t));
   t
 
-let retract ?max_facts ?pool ?gov t facts =
+let retract ?pool ?gov t facts =
   (match t with
-  | Single s -> ignore (Single.retract ?max_facts ?pool ?gov s facts : Single.t)
+  | Single s -> ignore (Single.retract ?pool ?gov s facts : Single.t)
   | Sharded s ->
       ignore (Sharded_closure.retract ?pool ?gov s facts : Sharded_closure.t));
   t

@@ -8,10 +8,7 @@
 
 type t
 
-exception Diverged of int
-(** The rule set generated more than [max_facts] facts. *)
-
-(** [compute ?max_facts ?staged_rules ~rules store] runs the semi-naive
+(** [compute ?staged_rules ~rules store] runs the semi-naive
     engine over the current contents of [store]. [rules] must already be
     compiled against the owning database's relationship classification.
 
@@ -31,7 +28,6 @@ exception Diverged of int
     overlays and never copies the base facts. Content is identical
     either way; enumeration order is not (compare canonically sorted). *)
 val compute :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   ?staged_rules:Lsdb_datalog.Rule.t list ->
@@ -39,7 +35,7 @@ val compute :
   Store.t ->
   t
 
-(** [extend ?max_facts closure facts] incrementally maintains the closure
+(** [extend closure facts] incrementally maintains the closure
     under insertion of base [facts]: the semi-naive fixpoint continues
     from the new triples (through the same strata as [compute]), reusing
     everything already derived. The closure is updated in place and also
@@ -56,14 +52,13 @@ val compute :
     subset of the true fixpoint and must not be reused as if complete
     (see {!Lsdb_datalog.Engine}). *)
 val extend :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   t ->
   Fact.t list ->
   t
 
-(** [retract ?max_facts closure facts] incrementally maintains the
+(** [retract closure facts] incrementally maintains the
     closure under deletion of base [facts], via delete/rederive
     ({!Lsdb_datalog.Engine.retract}) run per stratum: the stage stratum
     is retracted first and the facts it loses become the deletions of the
@@ -72,7 +67,6 @@ val extend :
     store; a retracted base fact that is still derivable stays in the
     closure, as a derived fact. *)
 val retract :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   t ->

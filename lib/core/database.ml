@@ -18,7 +18,6 @@ type t = {
   relclass : Relclass.t;
   mutable rules : (Rule.t * bool) list;  (* registration order, enabled flag *)
   mutable composition_limit : int;
-  max_facts : int;
   mutable closure_cache : Closure.t option;
   mutable pending : op list;  (* reversed: newest first *)
   mutable closure_mode : closure_mode;
@@ -40,8 +39,6 @@ type t = {
   mutable closure_partial : bool;
 }
 
-exception Diverged of int
-
 let axiom_facts =
   [
     Fact.make Entity.inv Entity.inv Entity.inv;  (* ↔ is its own inverse (§3.4) *)
@@ -50,7 +47,7 @@ let axiom_facts =
 
 let next_uid = Atomic.make 0
 
-let create ?(max_facts = 2_000_000) ?(shards = 1) () =
+let create ?(shards = 1) () =
   let t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
@@ -59,7 +56,6 @@ let create ?(max_facts = 2_000_000) ?(shards = 1) () =
       relclass = Relclass.create ();
       rules = List.map (fun rule -> (rule, true)) Builtin_rules.all;
       composition_limit = 1;
-      max_facts;
       closure_cache = None;
       pending = [];
       closure_mode = Eager;
@@ -190,14 +186,10 @@ let flush_pending t closure =
     match kind with
     | `Insert ->
         t.extensions <- t.extensions + 1;
-        ignore
-          (Closure.extend ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
-             closure facts)
+        ignore (Closure.extend ?pool:t.pool ?gov:t.governor closure facts)
     | `Retract ->
         t.retractions <- t.retractions + 1;
-        ignore
-          (Closure.retract ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
-             closure facts)
+        ignore (Closure.retract ?pool:t.pool ?gov:t.governor closure facts)
   in
   let rec go kind batch = function
     | [] -> if batch <> [] then flush kind batch
@@ -229,13 +221,8 @@ let closure t =
   match t.closure_cache with
   | Some closure when t.pending = [] -> closure
   | Some closure ->
-      (try
-         flush_pending t closure;
-         note_partial t
-       with Closure.Diverged n ->
-         (* The cache is part-way through the batch; discard it. *)
-         t.closure_cache <- None;
-         raise (Diverged n));
+      flush_pending t closure;
+      note_partial t;
       closure
   | None ->
       let staged_rules, rules = compiled_rules t in
@@ -246,10 +233,7 @@ let closure t =
          heap, and the fold's transient copy raises the peak heap. *)
       if t.closure_mode = Eager then Store.quiesce t.store;
       let closure =
-        try
-          Closure.compute ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
-            ~staged_rules ~rules t.store
-        with Closure.Diverged n -> raise (Diverged n)
+        Closure.compute ?pool:t.pool ?gov:t.governor ~staged_rules ~rules t.store
       in
       t.closure_cache <- Some closure;
       t.computations <- t.computations + 1;
@@ -282,7 +266,7 @@ let demand_state t =
           (* The store already indexes every bound-position combination;
              evaluate demand over it directly rather than copying the
              base — cold opens then cost only the demanded cone. *)
-          Magic.create_shared ~max_facts:t.max_facts ~staged_rules ~rules
+          Magic.create_shared ~staged_rules ~rules
             {
               Magic.bv_iter =
                 (fun ~s ~r ~tgt f ->
@@ -311,12 +295,6 @@ let demand_state t =
         (List.rev pending));
   m
 
-let with_demand t f =
-  try f (demand_state t)
-  with Magic.Diverged n ->
-    drop_demand t;
-    raise (Diverged n)
-
 let pat_parts (pat : Store.pattern) = (pat.s, pat.r, pat.t)
 
 (* Mode-aware closure accessors: the hot paths (match layer, eval,
@@ -329,12 +307,12 @@ let closure_match t pat f =
   | Eager -> Closure.match_pattern (closure t) pat f
   | Demand ->
       let s, r, tgt = pat_parts pat in
-      with_demand t (fun m -> Magic.demand m ~s ~r ~tgt f)
+      Magic.demand (demand_state t) ~s ~r ~tgt f
 
 let closure_mem t fact =
   match t.closure_mode with
   | Eager -> Closure.mem (closure t) fact
-  | Demand -> with_demand t (fun m -> Magic.mem m fact)
+  | Demand -> Magic.mem (demand_state t) fact
 
 (* Selectivity estimate for join planning: eager asks the materialized
    closure; demand counts base + already-derived cone postings without
@@ -345,24 +323,23 @@ let count_hint t pat =
   | Eager -> Closure.count_pattern (closure t) pat
   | Demand ->
       let s, r, tgt = pat_parts pat in
-      with_demand t (fun m -> Magic.count_hint m ~s ~r ~tgt)
+      Magic.count_hint (demand_state t) ~s ~r ~tgt
 
 let out_degree_hint t e =
   match t.closure_mode with
   | Eager -> Closure.out_degree (closure t) e
-  | Demand -> with_demand t (fun m -> Magic.degree_out m e)
+  | Demand -> Magic.degree_out (demand_state t) e
 
 let in_degree_hint t e =
   match t.closure_mode with
   | Eager -> Closure.in_degree (closure t) e
-  | Demand -> with_demand t (fun m -> Magic.degree_in m e)
+  | Demand -> Magic.degree_in (demand_state t) e
 
 let entity_in_closure t e =
   match t.closure_mode with
   | Eager -> Closure.entity_active (closure t) e
   | Demand ->
-      with_demand t (fun m ->
-          Store.entity_active t.store e || Magic.entity_occurs m e)
+      Store.entity_active t.store e || Magic.entity_occurs (demand_state t) e
 
 (* --- two-pattern intersection ---------------------------------------- *)
 
@@ -473,11 +450,11 @@ let demand_domain t m =
 let active_domain t =
   match t.closure_mode with
   | Eager -> Closure.active_entities (closure t)
-  | Demand -> with_demand t (fun m -> List.to_seq (demand_domain t m))
+  | Demand -> List.to_seq (demand_domain t (demand_state t))
 
 let demand_stats t =
   match (t.closure_mode, t.demand_cache) with
-  | Demand, _ -> Some (with_demand t Magic.stats)
+  | Demand, _ -> Some (Magic.stats (demand_state t))
   | Eager, Some m -> Some (Magic.stats m)
   | Eager, None -> None
 
@@ -534,12 +511,12 @@ let after_rule_disabled t name =
   drop_demand t;
   match t.closure_cache with
   | None -> ()
-  | Some _ -> (
-      match (try Some (closure t) with Diverged _ -> None) with
-      | Some c when not (List.mem_assoc name (Closure.rule_counts c)) ->
-          let staged_rules, rules = compiled_rules t in
-          Closure.set_rules c ~staged_rules ~rules
-      | _ -> drop_cache t)
+  | Some _ ->
+      let c = closure t in
+      if List.mem_assoc name (Closure.rule_counts c) then drop_cache t
+      else
+        let staged_rules, rules = compiled_rules t in
+        Closure.set_rules c ~staged_rules ~rules
 
 (* After enabling [rule]: the closure content is unchanged iff one
    application round of the rule over it yields nothing new. Enabling
@@ -552,14 +529,15 @@ let after_rule_enabled t (rule : Rule.t) =
   | None -> ()
   | Some _ ->
       if String.equal rule.name "inversion" then drop_cache t
-      else (
-        match (try Some (closure t) with Diverged _ -> None) with
-        | Some c
-          when Closure.closed_under c
-                 [ Rule.compile ~is_class:(Relclass.is_class t.relclass) rule ] ->
-            let staged_rules, rules = compiled_rules t in
-            Closure.set_rules c ~staged_rules ~rules
-        | _ -> drop_cache t)
+      else
+        let c = closure t in
+        if
+          Closure.closed_under c
+            [ Rule.compile ~is_class:(Relclass.is_class t.relclass) rule ]
+        then
+          let staged_rules, rules = compiled_rules t in
+          Closure.set_rules c ~staged_rules ~rules
+        else drop_cache t
 
 let add_rule t rule =
   let replaced =
@@ -615,10 +593,7 @@ let reclassify t e ~is_class_now ~declare =
     drop_demand t;
     (match t.closure_cache with
     | None -> ()
-    | Some _ -> (
-        match (try Some (closure t) with Diverged _ -> None) with
-        | Some c when not (Closure.entity_active c e) -> ()
-        | _ -> drop_cache t));
+    | Some _ -> if Closure.entity_active (closure t) e then drop_cache t);
     declare ();
     t.generation <- t.generation + 1
   end
@@ -655,7 +630,6 @@ let copy t =
       relclass = Relclass.copy t.relclass;
       rules = t.rules;
       composition_limit = t.composition_limit;
-      max_facts = t.max_facts;
       closure_cache = None;
       pending = [];
       closure_mode = t.closure_mode;

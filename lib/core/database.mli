@@ -21,7 +21,7 @@ type t
     sharded read-through implementation ({!Closure.compute}'s dispatch).
     Query results are identical at every shard count; enumeration order
     is not. Default [1] — the classic single heap. *)
-val create : ?max_facts:int -> ?shards:int -> unit -> t
+val create : ?shards:int -> unit -> t
 
 (** Current shard count of the fact heap ([>= 1]). *)
 val shards : t -> int
@@ -77,7 +77,11 @@ val prepare_readers : t -> unit
     poisoned demand memos), bumping {!generation} so external caches
     filled from partial answers miss. When the installed governor never
     trips, results are byte-identical to ungoverned evaluation and the
-    transition costs two field writes. *)
+    transition costs two field writes.
+
+    The governor's fact budget is the only bound on closure size: with
+    no governor installed, eager and demand evaluation run to their
+    (always finite) fixpoint. *)
 
 val set_governor : t -> Lsdb_exec.Governor.t option -> unit
 val governor : t -> Lsdb_exec.Governor.t option
@@ -169,8 +173,6 @@ val set_limit : t -> int -> unit
 val limit : t -> int
 
 (** {1 Closure} *)
-
-exception Diverged of int
 
 (** The cached closure, recomputed if a mutation occurred. *)
 val closure : t -> Closure.t

@@ -3,10 +3,19 @@ exception Syntax_error of { line : int; message : string }
 let error line fmt =
   Printf.ksprintf (fun message -> raise (Syntax_error { line; message })) fmt
 
+(* A '#' starts a comment only outside double quotes: [save_string]
+   quotes names that contain one, such as PC#9-WAM. *)
 let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+  let n = String.length line in
+  let rec scan i quoted =
+    if i = n then line
+    else
+      match line.[i] with
+      | '"' -> scan (i + 1) (not quoted)
+      | '#' when not quoted -> String.sub line 0 i
+      | _ -> scan (i + 1) quoted
+  in
+  scan 0 false
 
 let parse_rule db line_no text =
   (* "name: body => heads" with templates separated by '&'. *)

@@ -47,15 +47,29 @@ let violations db =
 
 let is_valid db = violations db = []
 
+type rejection = Violations of violation list | Unverified of Lsdb_exec.Governor.reason
+
+(* Validate a change just applied, undoing it unless it is proven clean.
+   A check that ran on a partial closure (the installed governor tripped)
+   proves nothing, so it undoes the change too rather than report it
+   verified. *)
+let validate db ~undo =
+  let vs = violations db in
+  match (Database.governor_tripped db, vs) with
+  | Some reason, _ ->
+      undo ();
+      Error (Unverified reason)
+  | None, [] -> Ok ()
+  | None, vs ->
+      undo ();
+      Error (Violations vs)
+
 let insert_checked db fact =
   if Database.mem_base db fact then Ok false
   else begin
     ignore (Database.insert db fact);
-    match violations db with
-    | [] -> Ok true
-    | vs ->
-        ignore (Database.remove db fact);
-        Error vs
+    validate db ~undo:(fun () -> ignore (Database.remove db fact))
+    |> Result.map (fun () -> true)
   end
 
 let add_rule_checked db rule =
@@ -63,16 +77,13 @@ let add_rule_checked db rule =
     List.find_opt (fun (existing, _) -> Rule.equal_name existing rule) (Database.rules db)
   in
   Database.add_rule db rule;
-  match violations db with
-  | [] -> Ok ()
-  | vs ->
+  validate db ~undo:(fun () ->
       ignore (Database.remove_rule db rule.Rule.name);
-      (match shadowed with
+      match shadowed with
       | Some (old_rule, enabled) ->
           Database.add_rule db old_rule;
           if not enabled then ignore (Database.exclude db old_rule.Rule.name)
-      | None -> ());
-      Error vs
+      | None -> ())
 
 let describe db violation =
   let symtab = Database.symtab db in
@@ -84,3 +95,11 @@ let describe db violation =
   | Math ->
       Printf.sprintf "%s is refuted by the mathematical facts"
         (Fact.to_string symtab violation.fact)
+
+let describe_rejection db = function
+  | Violations vs -> List.map (describe db) vs
+  | Unverified reason ->
+      [
+        Printf.sprintf "integrity check incomplete (%s tripped); nothing changed"
+          (Lsdb_exec.Governor.reason_string reason);
+      ]

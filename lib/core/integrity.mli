@@ -21,13 +21,24 @@ val violations : Database.t -> violation list
 
 val is_valid : Database.t -> bool
 
+(** Why a checked change was undone. *)
+type rejection =
+  | Violations of violation list  (** the change created contradictions *)
+  | Unverified of Lsdb_exec.Governor.reason
+      (** the installed governor tripped, so the check saw only part of
+          the closure and could not prove the change clean *)
+
 (** [insert_checked db fact] inserts, validates the new closure, and rolls
-    the insertion back if it created violations. Already-present facts
-    yield [Ok false]. *)
-val insert_checked : Database.t -> Fact.t -> (bool, violation list) result
+    the insertion back unless the check proved it clean: on violations,
+    and on a check cut short by the installed governor. Already-present
+    facts yield [Ok false]. *)
+val insert_checked : Database.t -> Fact.t -> (bool, rejection) result
 
 (** [add_rule_checked db rule] — same discipline for rules (a new
     integrity constraint may be violated by existing data). *)
-val add_rule_checked : Database.t -> Rule.t -> (unit, violation list) result
+val add_rule_checked : Database.t -> Rule.t -> (unit, rejection) result
 
 val describe : Database.t -> violation -> string
+
+(** One line per reason, for display. *)
+val describe_rejection : Database.t -> rejection -> string list

@@ -17,8 +17,6 @@ type t = {
   mutable derived_listed : int;
 }
 
-exception Diverged = D.Engine.Diverged
-
 let base_of_store store : D.Sharded.base =
   {
     b_iter =
@@ -43,21 +41,20 @@ let base_of_stage stage : D.Sharded.base =
 let has_prov t fact =
   D.Sharded.is_derived t.main fact || D.Sharded.is_derived t.stage fact
 
-let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
-    ~shards store =
+let compute ?pool ?gov ?(staged_rules = []) ~rules ~shards store =
   let plan = D.Shard.plan shards in
   let tripped () =
     match gov with
     | Some g -> Lsdb_exec.Governor.tripped g <> None
     | None -> false
   in
-  let stage = D.Sharded.create ~max_facts ~plan (base_of_store store) in
+  let stage = D.Sharded.create ~plan (base_of_store store) in
   let stage_derived =
     match staged_rules with
     | [] -> []
     | _ -> D.Sharded.closure ?pool ?gov staged_rules stage (Store.to_seq store)
   in
-  let main = D.Sharded.create ~max_facts ~plan (base_of_stage stage) in
+  let main = D.Sharded.create ~plan (base_of_stage stage) in
   let main_derived =
     (* A budget that tripped inside the stage stratum: adopt the stage as
        the partial result (the main overlays just stay empty — everything

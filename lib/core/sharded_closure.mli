@@ -17,10 +17,7 @@
 
 type t
 
-exception Diverged of int
-
 val compute :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   ?staged_rules:Lsdb_datalog.Rule.t list ->

@@ -63,8 +63,6 @@ type result = {
   mutable support : support option;
 }
 
-exception Diverged of int
-
 (* --- support-index maintenance ------------------------------------- *)
 
 let support_add support fact { premises; _ } =
@@ -256,7 +254,7 @@ let shards_of nshards delta =
    round count and provenance are identical for every [pool]/shard
    configuration. Returns the derived triples (in order) and the number
    of rounds. *)
-let fixpoint ?pool ?gov ~max_facts rules ~full ~record initial =
+let fixpoint ?pool ?gov rules ~full ~record initial =
   let rules = Array.of_list rules in
   let fullv = view_of_index full in
   let derived_rev = ref [] in
@@ -308,8 +306,6 @@ let fixpoint ?pool ?gov ~max_facts rules ~full ~record initial =
                List.iter
                  (fun (triple, premises) ->
                    if Index.add full triple then begin
-                     if Index.cardinal full > max_facts then
-                       raise (Diverged (Index.cardinal full));
                      next_rev := triple :: !next_rev;
                      derived_rev := triple :: !derived_rev;
                      record triple { rule = rule.name; premises };
@@ -332,7 +328,7 @@ let fixpoint ?pool ?gov ~max_facts rules ~full ~record initial =
    with Governor.Trip _ -> ());
   (List.rev !derived_rev, !rounds)
 
-let closure ?(max_facts = 10_000_000) ?pool ?gov rules base =
+let closure ?pool ?gov rules base =
   Metrics.incr m_closures;
   Trace.span "engine.closure" @@ fun () ->
   let full = Index.create () in
@@ -365,13 +361,13 @@ let closure ?(max_facts = 10_000_000) ?pool ?gov rules base =
   buf := [];
   let initial = Index.bulk_add full arr in
   let derived, rounds =
-    fixpoint ?pool ?gov ~max_facts rules ~full
+    fixpoint ?pool ?gov rules ~full
       ~record:(fun triple prov -> Triple.Tbl.replace provenance triple prov)
       initial
   in
   { index = full; derived; provenance; rounds; support = None }
 
-let extend ?(max_facts = 10_000_000) ?pool ?gov rules result extra =
+let extend ?pool ?gov rules result extra =
   Metrics.incr m_extends;
   Trace.span "engine.extend" @@ fun () ->
   let fresh = ref [] in
@@ -380,7 +376,7 @@ let extend ?(max_facts = 10_000_000) ?pool ?gov rules result extra =
     extra;
   let fresh = List.rev !fresh in
   let derived, rounds =
-    fixpoint ?pool ?gov ~max_facts rules ~full:result.index
+    fixpoint ?pool ?gov rules ~full:result.index
       ~record:(record_provenance result) fresh
   in
   Index.quiesce result.index;
@@ -474,7 +470,7 @@ let find_derivation rules ~(full : view) fact =
    rules are monotone and the index is a subset of the old closure
    throughout, so rederivation can only restore cone members — the final
    fact set equals a from-scratch recompute, at any pool size. *)
-let retract ?(max_facts = 10_000_000) ?pool ?gov rules result deleted =
+let retract ?pool ?gov rules result deleted =
   Metrics.incr m_retracts;
   Trace.span "engine.retract"
     ~meta:[ ("deleted", string_of_int (List.length deleted)) ]
@@ -548,7 +544,7 @@ let retract ?(max_facts = 10_000_000) ?pool ?gov rules result deleted =
           seeds_rev := fact :: !seeds_rev)
     checked;
   let _, rederive_rounds =
-    fixpoint ?pool ?gov ~max_facts rules ~full:result.index
+    fixpoint ?pool ?gov rules ~full:result.index
       ~record:(record_provenance result)
       (List.rev !seeds_rev)
   in

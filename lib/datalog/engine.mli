@@ -24,7 +24,12 @@
     and provenance agree with each other at the interruption point;
     retraction leaves unchecked cone facts removed). Callers detect
     partiality with [Governor.tripped] and must treat the result as
-    non-cacheable for ungoverned use. *)
+    non-cacheable for ungoverned use.
+
+    The governor's fact budget is the only bound on a closure's size.
+    Rules are function-free and the base is finite, so an ungoverned
+    call always reaches its fixpoint; a caller that must cap the work
+    passes a governor created with [~max_facts]. *)
 
 type provenance = { rule : string; premises : Triple.t list }
 
@@ -44,12 +49,7 @@ type result = {
           needs it *)
 }
 
-exception Diverged of int
-(** Raised (with the cardinal reached) when [max_facts] is exceeded — a
-    safety valve for rule sets that generate unboundedly, which the paper
-    notes is possible with unrestricted composition. *)
-
-(** [closure ?max_facts ?pool rules base] computes the closure of [base]
+(** [closure ?pool ?gov rules base] computes the closure of [base]
     under [rules]. Duplicate base triples are collapsed. With [?pool],
     each round's delta is evaluated across the pool's domains. With
     [?gov], both the base load and the fixpoint run under the governor's
@@ -57,14 +57,13 @@ exception Diverged of int
     base plus whatever was derived from it — always a subset of the true
     closure), never an escaped exception. *)
 val closure :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   Rule.t list ->
   Triple.t Seq.t ->
   result
 
-(** [extend ?max_facts rules result extra] incrementally maintains a
+(** [extend ?pool ?gov rules result extra] incrementally maintains a
     closure under insertions: the [extra] base triples are added and the
     semi-naive fixpoint continues from them, reusing everything already
     derived. [result.index] and [result.provenance] are updated in place;
@@ -74,7 +73,6 @@ val closure :
     derived), in derivation order, for callers to accumulate or to feed
     to the next stratum. *)
 val extend :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   Rule.t list ->
@@ -89,7 +87,7 @@ type retraction = {
   rederive_rounds : int;  (** semi-naive rounds spent restoring survivors *)
 }
 
-(** [retract ?max_facts ?pool rules result deleted] incrementally
+(** [retract ?pool ?gov rules result deleted] incrementally
     maintains a closure under deletions using delete/rederive: the cone
     of facts whose recorded derivation transitively rests on a [deleted]
     fact is over-deleted, then every cone member still derivable from the
@@ -101,7 +99,6 @@ type retraction = {
     tracking derivation order filter their own record against
     {!result.provenance}. *)
 val retract :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   Rule.t list ->

@@ -114,7 +114,6 @@ type stats = {
 type t = {
   staged_rules : Rule.t array;
   rules : Rule.t array;
-  max_facts : int;
   base : base_view;
   owned : Index.t option;  (* Some when [create] built the base itself *)
   stage_cone : Index.t;  (* derived by staged rules; disjoint from base *)
@@ -155,8 +154,6 @@ type t = {
   mutable poisoned : bool;
 }
 
-exception Diverged of int
-
 let view_of_index idx =
   {
     bv_iter = (fun ~s ~r ~tgt f -> Index.candidates idx ~s ~r ~tgt f);
@@ -167,12 +164,11 @@ let view_of_index idx =
     bv_cardinal = (fun () -> Index.cardinal idx);
   }
 
-let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules ?owned base =
+let create_shared ~staged_rules ~rules ?owned base =
   let st =
     {
       staged_rules = Array.of_list staged_rules;
       rules = Array.of_list rules;
-      max_facts;
       base;
       owned;
       stage_cone = Index.create ();
@@ -202,12 +198,12 @@ let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules ?owned base =
   in
   st
 
-let create ?max_facts ?(size_hint = 1024) ~staged_rules ~rules base =
+let create ?(size_hint = 1024) ~staged_rules ~rules base =
   let idx = Index.create ~size_hint () in
   (* Bulk load: on the virgin index this builds the packed segment in
      one sort instead of per-fact posting inserts. *)
   ignore (Index.bulk_add idx (Array.of_seq base) : Triple.t list);
-  create_shared ?max_facts ~staged_rules ~rules ~owned:idx (view_of_index idx)
+  create_shared ~staged_rules ~rules ~owned:idx (view_of_index idx)
 
 let table st = function Stage -> st.stage_demanded | Full -> st.full_demanded
 
@@ -215,7 +211,6 @@ let set_governor st gov = st.gov <- gov
 let poisoned st = st.poisoned
 
 let cone_cardinal st = Index.cardinal st.stage_cone + Index.cardinal st.full_cone
-let total st = st.base.bv_cardinal () + cone_cardinal st
 
 (* --- views ----------------------------------------------------------- *)
 
@@ -620,8 +615,6 @@ let process_delta st (level, dtriple) =
 
 let push_delta st level triple = Queue.add (level, triple) st.pending_deltas
 
-let check_diverged st = if total st > st.max_facts then raise (Diverged (total st))
-
 (* Fold one buffered emission into the cones. The demanded-pattern filter
    is what keeps the evaluation goal-directed: a head that matches no
    demanded pattern is dropped — if a later demand covers it, that
@@ -648,7 +641,6 @@ let merge_one st (level, triple, rule_name, premises) =
           ignore (Index.add st.stage_cone triple);
           set_prov st triple rule_name premises;
           Metrics.incr m_cone;
-          check_diverged st;
           Governor.count_facts st.gov 1;
           push_delta st Stage triple;
           push_delta st Full triple
@@ -663,7 +655,6 @@ let merge_one st (level, triple, rule_name, premises) =
         ignore (Index.add st.full_cone triple);
         set_prov st triple rule_name premises;
         Metrics.incr m_cone;
-        check_diverged st;
         Governor.count_facts st.gov 1;
         push_delta st Full triple
       end
@@ -787,7 +778,6 @@ let insert st triple =
     match st.owned with Some idx -> Index.add idx triple | None -> not was_base
   in
   if added then begin
-    check_diverged st;
     if not in_stage_view then push_delta st Stage triple;
     if not in_full_view then push_delta st Full triple;
     drain_governed st

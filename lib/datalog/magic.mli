@@ -47,9 +47,6 @@ type base_view = {
   bv_cardinal : unit -> int;
 }
 
-exception Diverged of int
-(** Total fact count (base + cones) exceeded [max_facts]. *)
-
 type stats = {
   goals : int;  (** external {!demand}/{!mem} calls *)
   memo_hits : int;  (** goals answered by an already-demanded cone *)
@@ -62,10 +59,9 @@ type stats = {
   deltas : int;  (** delta triples fed through activation joins *)
 }
 
-(** [create ?max_facts ~staged_rules ~rules base] copies the base facts
+(** [create ~staged_rules ~rules base] copies the base facts
     into a private index; nothing is derived until the first {!demand}. *)
 val create :
-  ?max_facts:int ->
   ?size_hint:int ->
   staged_rules:Rule.t list ->
   rules:Rule.t list ->
@@ -78,7 +74,6 @@ val create :
     {!retract} after (and only after) one left it. [?owned] is internal
     plumbing for {!create}. *)
 val create_shared :
-  ?max_facts:int ->
   staged_rules:Rule.t list ->
   rules:Rule.t list ->
   ?owned:Index.t ->

@@ -8,10 +8,8 @@
     ({!Sharded}) and the in-memory heap ([Lsdb.Store]) both route through
     this module, so their partitions line up.
 
-    Interned entity ids are not stable across sessions, so a layer that
-    outlives the symbol table would route by {e name} ({!of_name}); the
-    in-memory layers route by id ({!of_entity}). Both are deterministic
-    within their domain. *)
+    Routing is by interned entity id ({!of_entity}). Ids are not stable
+    across sessions, so a partition is recomputed, never persisted. *)
 
 type plan
 (** An immutable partitioning plan: just the shard count, carried as an
@@ -31,7 +29,3 @@ val of_entity : plan -> int -> int
 
 val of_triple : plan -> Triple.t -> int
 (** Owner shard of a ground triple: [of_entity plan triple.s]. *)
-
-val of_name : shards:int -> string -> int
-(** FNV-1a over the source {e name}, for layers that outlive the symbol
-    table (persistent heaps). Deterministic in [(shards, name)]. *)

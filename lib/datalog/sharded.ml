@@ -10,8 +10,6 @@ type base = {
   b_cardinal : unit -> int;
 }
 
-exception Diverged = Engine.Diverged
-
 (* Observability: sharded evaluation has its own counters next to the
    engine's so the two code paths can be compared from /metrics. *)
 let m_rounds =
@@ -69,7 +67,6 @@ type t = {
   mutable rounds : int;
   mutable derived_total : int;  (* live overlay facts, all shards *)
   mutable exchanged : int;
-  max_facts : int;
   (* Reshard-hint state: how many consecutive imbalance observations
      (one per fixpoint) pinned above the threshold, and the latest
      pinned reading as (hottest shard, permille, streak). *)
@@ -77,7 +74,7 @@ type t = {
   mutable hot_hint : (int * int * int) option;
 }
 
-let create ?(max_facts = 10_000_000) ~plan base =
+let create ~plan base =
   let nsh = Shard.shards plan in
   {
     plan;
@@ -100,7 +97,6 @@ let create ?(max_facts = 10_000_000) ~plan base =
     rounds = 0;
     derived_total = 0;
     exchanged = 0;
-    max_facts;
     hot_streak = 0;
     hot_hint = None;
   }
@@ -383,7 +379,6 @@ let fixpoint ?pool ?gov t rules ~record initial =
                      end;
                      incr accepted;
                      Metrics.incr t.shard_derived.(o);
-                     if cardinal t > t.max_facts then raise (Diverged (cardinal t));
                      derived_rev := triple :: !derived_rev;
                      next.(o) <- triple :: next.(o);
                      record triple { Engine.rule = rule.name; premises };

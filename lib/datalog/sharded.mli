@@ -44,12 +44,8 @@ type base = {
 
 type t
 
-exception Diverged of int
-(** Same safety valve as {!Engine.Diverged}: total cardinal (base +
-    overlays) exceeded [max_facts]. *)
-
-val create : ?max_facts:int -> plan:Shard.plan -> base -> t
-(** Empty overlays over [base]. [max_facts] defaults to 10M. *)
+val create : plan:Shard.plan -> base -> t
+(** Empty overlays over [base]. *)
 
 val plan : t -> Shard.plan
 

@@ -44,10 +44,16 @@ type 'a outcome =
     }
 
 (** [create ()] with no budget is a pure cancellation token (near-zero
-    overhead: no clock is ever read). [deadline_ms] is relative to now;
-    [max_facts] bounds derived facts, [max_work] total work units
-    (candidate facts walked, delta triples joined, frontier nodes
-    expanded), [max_waves] probe broadening waves. *)
+    overhead: one clock read at creation, none at checkpoints).
+    [deadline_ms] is relative to now; [max_facts] bounds derived facts,
+    [max_work] total work units (candidate facts walked, delta triples
+    joined, frontier nodes expanded), [max_waves] probe broadening waves.
+
+    [max_facts] is the only cap on a closure's size anywhere in the
+    system: the engines themselves run any function-free rule set to its
+    (finite) fixpoint, and an oversized closure surfaces as a sound
+    [Partial] with reason [Fact_budget]. The shell arms it for every
+    command (see [Shell.default_fact_budget]). *)
 val create :
   ?deadline_ms:float -> ?max_facts:int -> ?max_work:int -> ?max_waves:int -> unit -> t
 

@@ -89,9 +89,9 @@ let m_barrier_wait =
    entry point ([map_array], [lanes_run]) re-raises it. The map/lane
    wrappers catch their own items' exceptions, so anything landing here
    is a wrapper invariant violation (or a raw [submit] job) — exactly
-   the class of failure that must not vanish silently: a [Diverged] or
-   [Governor.Trip] that escaped its lane would otherwise turn a divergent
-   closure into a silently incomplete one. *)
+   the class of failure that must not vanish silently: a
+   [Governor.Trip] that escaped its lane would otherwise turn a tripped
+   closure into a silently incomplete one that nobody flags partial. *)
 let note_escape t e =
   Metrics.incr m_job_exceptions;
   ignore
@@ -269,8 +269,8 @@ let lanes_run lg f =
   end;
   (* Deterministic failure propagation, as in [map_array]: the
      lowest-indexed failing lane's exception is the one the caller
-     sees. [Governor.Trip] and [Diverged]-class exceptions raised on
-     worker domains reach the caller path here. *)
+     sees. A [Governor.Trip] raised on a worker domain reaches the
+     caller path here. *)
   Array.iter
     (function
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -15,16 +15,20 @@ type t = {
   session : Navigation.session;
   defs : Definitions.t;
   journal : mutation -> unit;
-  (* Session budgets, applied to every query command via a fresh
-     per-query governor (see [governed]). *)
+  (* Session budgets, applied to every command via a fresh per-command
+     governor (see [governed]). *)
   mutable deadline_ms : float option;
   mutable max_facts : int option;
   mutable max_work : int option;
   mutable max_waves : int option;
-  (* The governor of the query currently executing, if any — the handle a
-     SIGINT handler cancels through. *)
+  (* The governor of the command currently executing, if any — the handle
+     a SIGINT handler cancels through. *)
   mutable active_gov : Governor.t option;
 }
+
+(* The session's fact budget until [.budget] changes it: the resource
+   guard every closure the shell computes or maintains runs under. *)
+let default_fact_budget = 2_000_000
 
 let create ?(journal = fun _ -> ()) db =
   {
@@ -33,7 +37,7 @@ let create ?(journal = fun _ -> ()) db =
     defs = Definitions.create ();
     journal;
     deadline_ms = None;
-    max_facts = None;
+    max_facts = Some default_fact_budget;
     max_work = None;
     max_waves = None;
     active_gov = None;
@@ -78,7 +82,8 @@ let help =
   .closure [eager|demand]       show / set the closure mode (demand derives on demand)
   .shards [N]                   show / set the fact-heap shard count (re-partitions)
   .deadline [MS|off]            per-query wall deadline; a trip returns partial answers
-  .budget [facts N|work N|waves N|off]  per-query derivation/work/wave budgets
+  .budget [facts N|work N|waves N|off]  per-command derivation/work/wave budgets
+                                (a fact budget is on by default; '.budget' shows it)
   .stats                        observability counters (engine, probing, pool, storage)
   .profile [on|off]             show the last query profile / toggle tracing
   .slowlog [MS]                 show slow queries / set the slow threshold
@@ -278,25 +283,26 @@ let parse_fact out db text =
       Buffer.add_string out (Printf.sprintf "parse error: %s\n" msg);
       None
 
-(* Commands that evaluate over the closure and can therefore run long.
-   Each gets a fresh governor carrying the session budgets — even with no
-   budgets set, the token is what a Ctrl-C handler cancels through. *)
-let query_commands =
-  [ "try"; "nav"; "assoc"; "t"; "q"; "probe"; "explain"; "relation"; "call"; "check" ]
-
+(* Every command runs under a fresh governor carrying the session
+   budgets: any command may compute or maintain the closure (a query, the
+   integrity check behind [insert], a rule toggle), and the token is what
+   a Ctrl-C handler cancels through. Installing an untripped governor
+   costs two field writes. A [script] line nests inside the [script]
+   command's governor, so the outer one is reinstated afterwards. *)
 let governed t out f =
   let gov =
     Governor.create ?deadline_ms:t.deadline_ms ?max_facts:t.max_facts
       ?max_work:t.max_work ?max_waves:t.max_waves ()
   in
+  let outer = t.active_gov in
   t.active_gov <- Some gov;
   Database.set_governor t.db (Some gov);
   Fun.protect
     ~finally:(fun () ->
-      t.active_gov <- None;
+      t.active_gov <- outer;
       (* This transition discards any partial closure / poisoned demand
-         state the tripped query left behind. *)
-      Database.set_governor t.db None)
+         state the tripped command left behind. *)
+      Database.set_governor t.db outer)
     f;
   match Governor.tripped gov with
   | None -> ()
@@ -318,16 +324,10 @@ let rec execute t line =
   let out = Buffer.create 256 in
   (* [Sys.Break] must escape: it is the REPL's "second Ctrl-C, exit now"
      signal, and swallowing it here would trap the user in the loop. *)
-  (try run t out (split_words line) with
+  (try governed t out (fun () -> dispatch t out (split_words line)) with
   | Sys.Break as e -> raise e
   | e -> Buffer.add_string out ("error: " ^ Printexc.to_string e ^ "\n"));
   Buffer.contents out
-
-and run t out words =
-  match words with
-  | cmd :: _ when List.mem (String.lowercase_ascii cmd) query_commands ->
-      governed t out (fun () -> dispatch t out words)
-  | _ -> dispatch t out words
 
 and dispatch t out words =
   let say fmt = Printf.ksprintf (fun s -> Buffer.add_string out (s ^ "\n")) fmt in
@@ -427,9 +427,9 @@ and dispatch t out words =
                   t.journal (Inserted fact);
                   say "inserted"
               | Ok false -> say "already present"
-              | Error violations ->
+              | Error rejection ->
                   say "rejected:";
-                  List.iter (fun v -> say "  %s" (Integrity.describe db v)) violations)
+                  List.iter (say "  %s") (Integrity.describe_rejection db rejection))
           | None -> ())
       | "remove", _ :: _ -> (
           match parse_fact out db (rest_text ()) with

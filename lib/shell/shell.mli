@@ -24,15 +24,20 @@ type mutation =
 val create : ?journal:(mutation -> unit) -> Lsdb.Database.t -> t
 val database : t -> Lsdb.Database.t
 
-(** The governor of the query command currently executing, if any. Every
-    query command ([q], [probe], [assoc], …) runs under a fresh
-    {!Lsdb_exec.Governor.t} carrying the session's [.deadline]/[.budget]
-    settings; a budget trip appends a warning to the command output and
-    the answers shown are a sound subset. A SIGINT handler cancels the
-    in-flight query by calling {!Lsdb_exec.Governor.cancel} on this
-    handle — from the interrupted query's point of view the cancellation
-    is just another budget trip. *)
+(** The governor of the command currently executing, if any. Every
+    command runs under a fresh {!Lsdb_exec.Governor.t} carrying the
+    session's [.deadline]/[.budget] settings; a budget trip appends a
+    warning to the command output and the answers shown are a sound
+    subset. The fact budget starts at {!default_fact_budget}, so an
+    oversized closure is a partial answer rather than an error;
+    [.budget off] lifts it. A SIGINT handler cancels the in-flight
+    command by calling {!Lsdb_exec.Governor.cancel} on this handle — from
+    the interrupted command's point of view the cancellation is just
+    another budget trip. *)
 val active_governor : t -> Lsdb_exec.Governor.t option
+
+(** A new session's fact budget: 2 000 000 derived facts per command. *)
+val default_fact_budget : int
 
 (** Set the session deadline programmatically — the backing field of the
     [.deadline] command, exposed for [lsdb-browse --deadline-ms]. *)

@@ -63,8 +63,8 @@ let generate ?(params = default_params) rng =
 
 let fact_count t = List.length t.facts
 
-let to_database ?(max_facts = 2_000_000) ?shards t =
-  let db = Lsdb.Database.create ~max_facts ?shards () in
+let to_database ?shards t =
+  let db = Lsdb.Database.create ?shards () in
   List.iter
     (fun (s, r, tgt) -> ignore (Lsdb.Database.insert_names db s r tgt))
     t.facts;

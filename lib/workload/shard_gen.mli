@@ -33,4 +33,4 @@ val fact_count : t -> int
 
 (** A fresh database holding the generated facts, with [shards] internal
     heap shards ({!Lsdb.Database.create}). *)
-val to_database : ?max_facts:int -> ?shards:int -> t -> Lsdb.Database.t
+val to_database : ?shards:int -> t -> Lsdb.Database.t

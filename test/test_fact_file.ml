@@ -11,6 +11,21 @@ let tests =
         in
         Alcotest.(check int) "two inserted" 2 n;
         check_holds db "fact" ("JOHN", "LIKES", "FELIX"));
+    test "a quoted name containing # round-trips" (fun () ->
+        (* save_string quotes PC#9-WAM; the loader must not read its '#'
+           as a comment. *)
+        let db = Database.create () in
+        let n =
+          Fact_file.load_string db
+            (Fact_file.save_string (Paper_examples.music ()))
+        in
+        Alcotest.(check int) "every music fact"
+          (Database.base_cardinal (Paper_examples.music ()))
+          (n + List.length Database.axiom_facts);
+        check_holds db "quoted source" ("PC#9-WAM", "COMPOSED-BY", "MOZART");
+        Alcotest.(check int) "still strips a trailing comment" 1
+          (Fact_file.load_string (Database.create ())
+             "(\"A#1\", R, B)  # \"unbalanced\n"));
     test "directives: class, individual, limit" (fun () ->
         let db = Database.create () in
         ignore

@@ -282,6 +282,47 @@ let degradation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The fact budget is the only closure cap                             *)
+
+(* A 60-class generalization chain: transitivity derives 1770 facts, far
+   past the 100-fact budget below. *)
+let chain () =
+  db_of
+    (List.init 60 (fun i ->
+         (Printf.sprintf "C%d" i, "isa", Printf.sprintf "C%d" (i + 1))))
+
+let oversized_budget = 100
+
+let limit_tests =
+  let oracle = all_closure_facts (chain ()) in
+  let partial_case name configure =
+    test ("an oversized closure is a sound Partial Fact_budget (" ^ name ^ ")")
+      (fun () ->
+        let db = chain () in
+        configure db;
+        let gov = Governor.create ~max_facts:oversized_budget () in
+        Database.set_governor db (Some gov);
+        (match Governor.finish (Some gov) (all_closure_facts db) with
+        | Governor.Partial { value; reason = Governor.Fact_budget; facts; _ } ->
+            Alcotest.(check bool) "partial ⊆ ungoverned closure" true
+              (is_subset ~sub:value ~super:oracle);
+            Alcotest.(check bool) "strictly smaller" true
+              (List.length value < List.length oracle);
+            Alcotest.(check bool) "stopped at the budget" true
+              (facts > oversized_budget)
+        | Governor.Partial _ -> Alcotest.fail "tripped for another reason"
+        | Governor.Complete _ -> Alcotest.fail "expected a Partial");
+        Database.set_governor db None;
+        Alcotest.(check bool) "ungoverned run completes" true
+          (List.equal Fact.equal oracle (all_closure_facts db)))
+  in
+  [
+    partial_case "eager, 1 shard" ignore;
+    partial_case "eager, 2 shards" (fun db -> Database.set_shards db 2);
+    partial_case "demand" (fun db -> Database.set_closure_mode db Database.Demand);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Storage retry                                                       *)
 
 let storage_tests =
@@ -435,6 +476,45 @@ let shell_tests =
           (Shell.active_governor sh = None);
         Alcotest.(check bool) "database governor cleared" true
           (Database.governor (Shell.database sh) = None));
+    test "a new session carries the default fact budget; .budget off lifts it"
+      (fun () ->
+        let sh = Shell.create (Paper_examples.campus ()) in
+        Alcotest.(check bool) "default shown" true
+          (contains (Shell.execute sh ".budget")
+             (Printf.sprintf "fact budget: %d" Shell.default_fact_budget));
+        ignore (Shell.execute sh ".budget off");
+        Alcotest.(check bool) "lifted" true
+          (contains (Shell.execute sh ".budget") "fact budget: off"));
+    test "an oversized closure warns through the shell, with no error line"
+      (fun () ->
+        let sh = Shell.create (chain ()) in
+        ignore
+          (Shell.execute sh (Printf.sprintf ".budget facts %d" oversized_budget));
+        let out = Shell.execute sh "q (C0, isa, ?x)" in
+        Alcotest.(check bool) "fact-budget warning" true
+          (contains out "warning: fact-budget tripped");
+        Alcotest.(check bool) "no error line" false (contains out "error:"));
+    test "a checked insert under a tripped budget leaves the store unchanged"
+      (fun () ->
+        (* The closure derives three facts, past a one-fact budget. *)
+        let db =
+          db_of
+            [
+              ("LOVES", "contra", "HATES");
+              ("JOHN", "LOVES", "MARY");
+              ("JOHN", "in", "PERSON");
+              ("PERSON", "isa", "ANIMAL");
+            ]
+        in
+        let sh = Shell.create db in
+        let before = Database.facts db in
+        ignore (Shell.execute sh ".budget facts 1");
+        let out = Shell.execute sh "insert (JOHN, HATES, MARY)" in
+        Alcotest.(check bool) "rejected" true (contains out "rejected:");
+        Alcotest.(check bool) "says why" true (contains out "incomplete");
+        Alcotest.(check bool) "not inserted" false (contains out "inserted");
+        Alcotest.(check bool) "store unchanged" true
+          (List.equal Fact.equal before (Database.facts db)));
     test ".stats includes the governor digest" (fun () ->
         let sh = Shell.create (Paper_examples.campus ()) in
         let out = Shell.execute sh ".stats" in
@@ -443,5 +523,6 @@ let shell_tests =
   ]
 
 let tests =
-  unit_tests @ retry_tests @ soundness_tests @ degradation_tests @ storage_tests
+  unit_tests @ retry_tests @ soundness_tests @ degradation_tests @ limit_tests
+  @ storage_tests
   @ federation_tests @ shell_tests

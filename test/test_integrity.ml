@@ -97,9 +97,36 @@ let tests =
           db_of [ ("LOVES", "contra", "HATES"); ("JOHN", "LOVES", "MARY") ] in
         let bad = fact db ("JOHN", "HATES", "MARY") in
         (match Integrity.insert_checked db bad with
-        | Error violations -> Alcotest.(check bool) "reported" true (violations <> [])
+        | Error (Integrity.Violations violations) ->
+            Alcotest.(check bool) "reported" true (violations <> [])
+        | Error (Integrity.Unverified _) -> Alcotest.fail "ungoverned check cut short"
         | Ok _ -> Alcotest.fail "expected Error");
         Alcotest.(check bool) "rolled back" false (Database.mem_base db bad);
+        Alcotest.(check bool) "database still valid" true (Integrity.is_valid db));
+    test "insert_checked under a tripped governor rolls back, typed" (fun () ->
+        (* The check would find the clash, but on a partial closure it
+           proves nothing either way: never Ok, store unchanged. *)
+        let db =
+          db_of
+            [
+              ("LOVES", "contra", "HATES");
+              ("JOHN", "LOVES", "MARY");
+              ("JOHN", "in", "PERSON");
+              ("PERSON", "isa", "ANIMAL");
+            ]
+        in
+        let before = Database.facts db in
+        let bad = fact db ("JOHN", "HATES", "MARY") in
+        Database.set_governor db
+          (Some (Lsdb_exec.Governor.create ~max_facts:1 ()));
+        (match Integrity.insert_checked db bad with
+        | Error (Integrity.Unverified Lsdb_exec.Governor.Fact_budget) -> ()
+        | Error (Integrity.Unverified _) -> Alcotest.fail "wrong trip reason"
+        | Error (Integrity.Violations _) -> Alcotest.fail "expected Unverified"
+        | Ok _ -> Alcotest.fail "a partial check must not return Ok");
+        Database.set_governor db None;
+        Alcotest.(check bool) "store unchanged" true
+          (List.equal Fact.equal before (Database.facts db));
         Alcotest.(check bool) "database still valid" true (Integrity.is_valid db));
     test "insert_checked accepts a harmless fact" (fun () ->
         let db = db_of [ ("JOHN", "LOVES", "MARY") ] in

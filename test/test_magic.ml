@@ -280,23 +280,6 @@ let tests =
               (Printf.sprintf "cone %d < full %d" cone full_derived)
               true
               (cone < full_derived));
-    test "prover tabling keys off the shared database generation" (fun () ->
-        let db = Paper_examples.organization () in
-        let f = fact db ("JOHN", "WORKS-FOR", "DEPARTMENT") in
-        let proved, n1 = Prover.prove_counted db f in
-        Alcotest.(check bool) "proves" true proved;
-        Alcotest.(check bool) "first run expands" true (n1 > 0);
-        let proved2, n2 = Prover.prove_counted db f in
-        Alcotest.(check bool) "still proves" true proved2;
-        (* Repeat proof over an unchanged heap replays the table. *)
-        Alcotest.(check int) "tabled repeat: zero expansions" 0 n2;
-        (* A rule toggle bumps the one shared generation source; the
-           prover table (like the match-layer answer cache) must miss. *)
-        ignore (Database.exclude db "gen-rel");
-        ignore (Database.include_rule db "gen-rel");
-        let proved3, n3 = Prover.prove_counted db f in
-        Alcotest.(check bool) "reproves" true proved3;
-        Alcotest.(check bool) "toggle invalidates the table" true (n3 > 0));
     test "shell .closure flips modes in a live session" (fun () ->
         let contains hay needle =
           let nh = String.length hay and nn = String.length needle in

@@ -12,7 +12,10 @@
    - mutations land identically in both runs;
    - in the storage leg, every acked op survives a one-shot transient
      fault exactly once (retry resends the same bytes; the log holds no
-     duplicate and drops nothing).
+     duplicate and drops nothing);
+   - in the input leg, byte-flipped, truncated and spliced queries,
+     templates and fact files end in a typed parse error or a valid
+     result within a bounded time, never in another exception.
 
    Exit status 0 when every case holds, 1 otherwise. *)
 
@@ -250,12 +253,117 @@ let storage_chaos seed =
         failf case "recovered state diverges from the acked ops";
       Persistent.close p
 
+(* ------------------------------------------------------------------ *)
+(* Input leg: seeded mutation fuzzing of the text front ends           *)
+
+(* Valid inputs to mutate: the paper's queries (§2.7, §5.2, §6.1) and
+   the saved form of every paper database. *)
+let query_corpus =
+  [
+    "(JOHN, *, *)";
+    "(JOHN, LIKES, ?x)";
+    "(STUDENT, LOVE, ?z) & (?z, COSTS, FREE)";
+    "(?x, in, QUARTERBACK) & (?x, ATTENDED, USC)";
+    "(?x, in, BOOK) & (?x, CITES, ?x)";
+    "(?x, in, BOOK) & exists y . (?x, AUTHOR, ?y) & (?y, in, PERSON) & (?y, neq, ALICE)";
+    "(?who, in, EMPLOYEE) & exists s . (?who, EARNS, ?s) & (?s, gt, 20000)";
+    "((A, R, ?x) | (B, R, ?x)) & (C, R, ?x)";
+    "forall x . (?x, R, ?y)";
+    "(\"PC#9-WAM\", COMPOSED-BY, ?c) ∧ ∃ p . (?c, in, ?p)";
+  ]
+
+let template_corpus =
+  [ "(JOHN, *, *)"; "(?x, EARNS, ?s)"; "(PC#9-WAM, COMPOSED-BY, MOZART)"; "(\"a b\", R, ?t)" ]
+
+let fact_corpus =
+  List.map
+    (fun make -> Fact_file.save_string (make ()))
+    Paper_examples.[ music; organization; campus; library; payroll ]
+  @ [ "class TOTAL-NUMBER\nlimit 3\nrule r: (?x, in, A) => (?x, in, B)\nexclude r\n(X, in, A)\n" ]
+
+let mutate rng corpus input =
+  let n = String.length input in
+  match Rng.int rng 3 with
+  | 0 ->
+      (* Byte flips: overwrite a few positions with arbitrary bytes. *)
+      let b = Bytes.of_string input in
+      if n > 0 then
+        for _ = 0 to Rng.int rng 4 do
+          Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256))
+        done;
+      Bytes.to_string b
+  | 1 -> String.sub input 0 (Rng.int rng (n + 1))  (* truncation *)
+  | _ ->
+      (* Splice: a prefix of this input onto a suffix of another. *)
+      let other = Rng.choose rng corpus in
+      let m = String.length other in
+      let cut = Rng.int rng (m + 1) in
+      String.sub input 0 (Rng.int rng (n + 1)) ^ String.sub other cut (m - cut)
+
+(* CPU-time bound per input: these are sub-millisecond parses, so a
+   second means a pathological (quadratic or looping) path. *)
+let fuzz_bound_s = 1.0
+
+(* Failing inputs are printed up to their first 160 bytes. *)
+let shown input = if String.length input <= 160 then input else String.sub input 0 160 ^ "…"
+
+(* Mutated inputs per entry point per seed. *)
+let fuzz_mutations = 200
+
+(* [valid]: an unmutated corpus input, which must also parse. *)
+let fuzz_one ?(valid = false) case ~typed f input =
+  incr cases;
+  let started = Sys.time () in
+  (match f input with
+  | () -> ()
+  | exception e when typed e && not valid -> ()
+  | exception e ->
+      failf case "%s %s on %S"
+        (if typed e then "rejected valid input:" else "untyped")
+        (Printexc.to_string e) (shown input));
+  let took = Sys.time () -. started in
+  if took > fuzz_bound_s then failf case "took %.2f s on %S" took (shown input)
+
+let entry_points =
+  let db = Database.create () in
+  let parse_error = function Query_parser.Parse_error _ -> true | _ -> false in
+  [
+    ("parse", query_corpus, parse_error,
+     fun text -> ignore (Query_parser.parse db text : Query.t));
+    ("parse_template", template_corpus, parse_error,
+     fun text -> ignore (Query_parser.parse_template db text : Template.t));
+    ("load_string", fact_corpus,
+     (function Fact_file.Syntax_error _ -> true | _ -> false),
+     fun text -> ignore (Fact_file.load_string (Database.create ()) text : int));
+  ]
+
+let fuzz_inputs seed =
+  let rng = Rng.create ((seed * 104_729) + 7) in
+  List.iter
+    (fun (name, corpus, typed, f) ->
+      for i = 1 to fuzz_mutations do
+        let input = ref (Rng.choose rng corpus) in
+        for _ = 0 to Rng.int rng 3 do
+          input := mutate rng corpus !input
+        done;
+        fuzz_one (Printf.sprintf "seed%d/%s/mut%d" seed name i) ~typed f !input
+      done)
+    entry_points
+
 let () =
+  List.iter
+    (fun (name, corpus, typed, f) ->
+      List.iteri
+        (fun i input ->
+          fuzz_one ~valid:true (Printf.sprintf "%s/valid%d" name i) ~typed f input)
+        corpus)
+    entry_points;
   let seeds = List.init 10 (fun i -> i + 1) in
   List.iter
     (fun seed ->
       eval_chaos seed;
-      storage_chaos seed)
+      storage_chaos seed;
+      fuzz_inputs seed)
     seeds;
   Printf.printf "chaos-torture: %d case(s), %d failure(s)\n%!" !cases !failures;
   exit (if !failures = 0 then 0 else 1)
