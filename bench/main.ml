@@ -2526,6 +2526,109 @@ let b22 () =
     !cells speedup enum_speedup
 
 (* ------------------------------------------------------------------ *)
+(* B23: the "did you mean" scan                                         *)
+
+let b23 () =
+  section
+    "B23 — did-you-mean scan: bit-parallel Levenshtein vs the DP reference \
+     on the Org_gen + Citation_gen heap";
+  let n = 2000 in
+  let names = if !quick then 100 else 300 in
+  let rng = rng () in
+  let org =
+    Lsdb_workload.Org_gen.generate
+      ~params:{ Lsdb_workload.Org_gen.default_params with employees = n }
+      (Lsdb_workload.Rng.split rng)
+  in
+  let cit =
+    Lsdb_workload.Citation_gen.generate
+      ~params:
+        { Lsdb_workload.Citation_gen.default_params with books = n; authors = max 1 (n / 5) }
+      (Lsdb_workload.Rng.split rng)
+  in
+  let db = Database.create () in
+  List.iter
+    (fun (s, r, t) -> ignore (Database.insert_names db s r t))
+    (org.Lsdb_workload.Org_gen.facts @ cit.Lsdb_workload.Citation_gen.facts);
+  let symtab = Database.symtab db in
+  let candidates = ref 0 in
+  Symtab.iter_user (fun _ -> incr candidates) symtab;
+  let pool =
+    Array.concat
+      [
+        org.Lsdb_workload.Org_gen.employee_names;
+        org.Lsdb_workload.Org_gen.department_names;
+        cit.Lsdb_workload.Citation_gen.book_names;
+        cit.Lsdb_workload.Citation_gen.author_names;
+      ]
+  in
+  let probes =
+    List.init names (fun _ ->
+        Lsdb_workload.Query_gen.misspell rng (Lsdb_workload.Rng.choose_array rng pool))
+  in
+  (* The scan as it stood before the kernel: lowercase every candidate
+     and run the two-row DP on those within the length window. *)
+  let dp_fuzzy ~limit ~max_distance name =
+    let target = String.lowercase_ascii name in
+    let hits = ref [] in
+    Symtab.iter_user
+      (fun e ->
+        let c = String.lowercase_ascii (Symtab.name symtab e) in
+        if c <> target && abs (String.length c - String.length target) <= max_distance then begin
+          let d = Search.edit_distance c target in
+          if d <= max_distance then hits := (d, e) :: !hits
+        end)
+      symtab;
+    List.sort compare !hits |> List.filteri (fun i _ -> i < limit) |> List.map snd
+  in
+  let mismatches = ref 0 and hits = ref 0 in
+  List.iter
+    (fun (limit, max_distance) ->
+      List.iter
+        (fun name ->
+          let got = Search.fuzzy ~limit ~max_distance db name in
+          hits := !hits + List.length got;
+          if got <> dp_fuzzy ~limit ~max_distance name then incr mismatches)
+        probes)
+    [ (20, 2); (max_int, 4) ];
+  if !mismatches > 0 then begin
+    incr equivalence_failures;
+    Printf.printf "  ✗ SEARCH FAILURE: %d hit list(s) differ from the DP reference scan\n"
+      !mismatches
+  end;
+  let per_name ms = ms *. 1e3 /. float_of_int names in
+  let scan f = measure_ms (fun () -> List.iter (fun name -> ignore (f name)) probes) in
+  let kernel_us = per_name (scan (Search.fuzzy ~limit:20 db)) in
+  let dp_us = per_name (measure_ms ~runs:3 (fun () ->
+      List.iter (fun name -> ignore (dp_fuzzy ~limit:20 ~max_distance:2 name)) probes)) in
+  let ns_per_candidate = kernel_us *. 1e3 /. float_of_int !candidates in
+  record "b23/scan_us_per_name" kernel_us "us";
+  record "b23/ns_per_candidate" ns_per_candidate "ns";
+  record "b23/dp_scan_us_per_name" dp_us "us";
+  record "b23/speedup" (dp_us /. kernel_us) "x";
+  record "b23/mismatches" (float_of_int !mismatches) "lists";
+  table
+    [ "scan"; "µs / name"; "ns / candidate"; "speedup" ]
+    [
+      [
+        "DP (two-row Levenshtein)";
+        Printf.sprintf "%.1f" dp_us;
+        Printf.sprintf "%.1f" (dp_us *. 1e3 /. float_of_int !candidates);
+        "1.0x";
+      ];
+      [
+        "bit-parallel kernel";
+        Printf.sprintf "%.1f" kernel_us;
+        Printf.sprintf "%.1f" ns_per_candidate;
+        Printf.sprintf "%.1fx" (dp_us /. kernel_us);
+      ];
+    ];
+  Printf.printf
+    "  %d misspelled names × %d candidates; %d hits at (limit 20, d ≤ 2) and \
+     (no limit, d ≤ 4), %d list(s) differ from the DP scan\n"
+    names !candidates !hits !mismatches
+
+(* ------------------------------------------------------------------ *)
 
 let micro () =
   section "MICRO — core operation costs (Bechamel, ns/op)";
@@ -2592,6 +2695,7 @@ let experiments =
     ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b12", b12);
     ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16); ("b17", b17);
     ("b18", b18); ("b19", b19); ("b20", b20); ("b21", b21); ("b22", b22);
+    ("b23", b23);
     ("micro", micro);
   ]
 
